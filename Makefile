@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: check build vet lint lint-ssa test race recovery obs obs-scrape fuzz bench-checkpoint bench-pipeline bench-spill bench-shuffle bench-columnar bench-adaptive e2e-dist
+.PHONY: check build vet lint lint-ssa test race recovery obs obs-scrape fuzz bench-checkpoint bench-spill bench-shuffle bench-columnar bench-adaptive e2e-dist
 
 check: build vet lint lint-ssa race recovery obs
 
@@ -88,14 +88,6 @@ bench-spill:
 # 1s vs 10s intervals (acceptance: <10% throughput cost at 10s).
 bench-checkpoint:
 	$(GO) run ./cmd/spear-bench -experiment checkpoint
-
-# Dataflow throughput: the spe micro-benchmarks with allocation counts,
-# then the pipeline experiment (par 1/4/8 × batch 1 vs 64, best of 3)
-# writing BENCH_pipeline.json (acceptance: batch=64 ≥2x batch=1 on the
-# 4-worker shuffle pipeline, allocs/tuple ≤1 in steady state).
-bench-pipeline:
-	$(GO) test -run '^$$' -bench BenchmarkPipeline -benchmem ./internal/spe/
-	$(GO) run ./cmd/spear-bench -experiment pipeline -benchjson BENCH_pipeline.json
 
 # Columnar execution: typed column batches + operator fusion vs the row
 # batch path at par 1/4/8 on an aggregate-heavy map→filter→mean

@@ -95,15 +95,15 @@ func (in *Injector) AfterPersist() func(id uint64, worker int) error {
 func (in *Injector) Arm(h *spe.CheckpointHooks) *spe.CheckpointHooks {
 	wrapped := *h
 	if inner := h.Trigger; inner != nil && in.Point == PreBarrier {
-		wrapped.Trigger = func(offset int64) (uint64, bool, error) {
-			id, ok, err := inner(offset)
+		wrapped.Trigger = func(offset, routed int64) (uint64, bool, int64, error) {
+			id, ok, next, err := inner(offset, routed)
 			if err != nil {
-				return id, ok, err
+				return id, ok, next, err
 			}
 			if ok && id == in.AtCheckpoint && !in.fired.Load() {
-				return 0, false, in.crash()
+				return 0, false, next, in.crash()
 			}
-			return id, ok, nil
+			return id, ok, next, nil
 		}
 	}
 	if in.Point == MidAlignment {

@@ -1,17 +1,17 @@
 // Package checkpoint implements aligned barrier snapshots and crash
 // recovery for the SPEAr runtime. A coordinator, polled synchronously
-// by the spout, decides when a checkpoint starts; the engine broadcasts
-// a barrier that every worker aligns across its input senders; at each
-// windowed worker's alignment point the coordinator serializes the
+// by the spout at the offsets it asks for, decides when a checkpoint
+// starts; the engine broadcasts a barrier to every windowed worker; at
+// each worker's barrier the coordinator serializes the
 // operator's state (via the Snapshotter contract every stateful manager
 // implements) and persists it through the spill store; when every
-// worker has confirmed, a manifest — spout offset plus per-blob
-// checksums — is committed, superseded checkpoints are garbage
+// worker has confirmed, a manifest — spout offset, routed count, and
+// per-blob checksums — is committed, superseded checkpoints are garbage
 // collected, and store deletions deferred since the previous checkpoint
 // are executed. Recovery loads the newest checkpoint whose manifest and
 // blobs all validate, restores every operator, rewinds secondary
 // storage to the snapshot point, and replays the spout from the
-// recorded offset.
+// recorded offset with the recorded round-robin phase.
 //
 // Everything runs inside existing engine goroutines: Trigger on the
 // spout's, Snapshot on the windowed workers'. The coordinator spawns
@@ -20,6 +20,7 @@ package checkpoint
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -72,9 +73,8 @@ type Config struct {
 	// disables count-based triggering.
 	EveryTuples int64
 	// Interval triggers a checkpoint when this much wall-clock time has
-	// passed since the last one. The clock is consulted only every 1024
-	// tuples to keep the per-tuple cost negligible. Zero disables
-	// time-based triggering.
+	// passed since the last one. The clock is consulted only at offsets
+	// that are multiples of 1024. Zero disables time-based triggering.
 	Interval time.Duration
 	// Metrics, when non-nil, receives checkpoint telemetry.
 	Metrics *metrics.CheckpointMetrics
@@ -91,6 +91,7 @@ type Config struct {
 type round struct {
 	id       uint64
 	offset   int64
+	routed   int64
 	acked    []bool
 	ackedN   int
 	ops      []Operator
@@ -223,6 +224,7 @@ func (c *Coordinator) Hooks() *spe.CheckpointHooks {
 	restored, blobs, met := c.restored, c.blobs, c.cfg.Metrics
 	if restored != nil {
 		h.StartOffset = restored.Offset
+		h.StartRouted = restored.Routed
 	}
 	h.Restore = func(worker int, mgr core.Manager) error {
 		start := c.now()
@@ -254,13 +256,19 @@ func (c *Coordinator) Hooks() *spe.CheckpointHooks {
 	return h
 }
 
+// pendingPoll is how many tuples the spout runs between polls while a
+// round is pending: the round commits on the workers' goroutines, so
+// the trigger cannot name the offset at which it will be free again.
+const pendingPoll = 64
+
 // trigger implements spe.CheckpointHooks.Trigger. One checkpoint is in
-// flight at a time; while one is pending the trigger stays quiet.
-func (c *Coordinator) trigger(offset int64) (uint64, bool, error) {
+// flight at a time; while one is pending the trigger stays quiet. Polls
+// between the offsets it returns as next are allowed and harmless.
+func (c *Coordinator) trigger(offset, routed int64) (uint64, bool, int64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.pending != nil {
-		return 0, false, nil
+		return 0, false, c.nextPoll(offset, offset+pendingPoll), nil
 	}
 	// Distance, not modulo: a round pending at the exact multiple must
 	// not silence checkpointing forever — the next poll after commit
@@ -275,14 +283,28 @@ func (c *Coordinator) trigger(offset int64) (uint64, bool, error) {
 		}
 	}
 	if !fire {
-		return 0, false, nil
+		return 0, false, c.nextPoll(offset, math.MaxInt64), nil
 	}
 	id := c.nextID
 	c.nextID++
-	c.pending = &round{id: id, offset: offset, acked: make([]bool, c.cfg.Workers)}
+	c.pending = &round{id: id, offset: offset, routed: routed, acked: make([]bool, c.cfg.Workers)}
 	c.lastWall = c.now()
 	c.lastOffset = offset
-	return id, true, nil
+	return id, true, c.nextPoll(offset, math.MaxInt64), nil
+}
+
+// nextPoll returns the first offset after offset, and no later than
+// limit, at which trigger could fire: the next count-based cadence
+// point, or the next clock check. The caller holds c.mu.
+func (c *Coordinator) nextPoll(offset, limit int64) int64 {
+	next := limit
+	if due := c.lastOffset + c.cfg.EveryTuples; c.cfg.EveryTuples > 0 && due > offset {
+		next = min(next, due)
+	}
+	if c.cfg.Interval > 0 {
+		next = min(next, (offset|1023)+1)
+	}
+	return next
 }
 
 // snapshot implements spe.CheckpointHooks.Snapshot: serialize, persist,
@@ -359,7 +381,7 @@ func (c *Coordinator) Confirm(id uint64, op Operator, deferred []string) error {
 // deferred deletions, and garbage-collects superseded checkpoints.
 func (c *Coordinator) commit(r *round) error {
 	sort.Slice(r.ops, func(i, j int) bool { return r.ops[i].Worker < r.ops[j].Worker })
-	m := Manifest{ID: r.id, Created: c.now().UnixNano(), Offset: r.offset, Operators: r.ops}
+	m := Manifest{ID: r.id, Created: c.now().UnixNano(), Offset: r.offset, Routed: r.routed, Operators: r.ops}
 	enc := EncodeManifest(m)
 	if err := putBlob(c.cfg.Store, manifestKey(c.cfg.Namespace, r.id), enc); err != nil {
 		return err

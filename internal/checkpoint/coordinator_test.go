@@ -60,7 +60,7 @@ func newTestCoordinator(t *testing.T, store storage.SpillStore, workers int, eve
 // runCheckpoint drives one full round through the coordinator.
 func runCheckpoint(t *testing.T, c *Coordinator, offset int64, mgrs ...*stubManager) uint64 {
 	t.Helper()
-	id, ok, err := c.trigger(offset)
+	id, ok, _, err := c.trigger(offset, offset)
 	if err != nil || !ok {
 		t.Fatalf("trigger(%d) = %v, %v", offset, ok, err)
 	}
@@ -78,7 +78,7 @@ func TestCoordinatorTriggerCadence(t *testing.T) {
 	mgr := &stubManager{state: []byte("s")}
 	var fired []int64
 	for off := int64(0); off <= 35; off++ {
-		id, ok, err := c.trigger(off)
+		id, ok, _, err := c.trigger(off, off)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,25 +97,65 @@ func TestCoordinatorTriggerCadence(t *testing.T) {
 func TestCoordinatorPendingBlocksTrigger(t *testing.T) {
 	store := storage.NewMemStore()
 	c := newTestCoordinator(t, store, 2, 10)
-	id, ok, err := c.trigger(10)
+	id, ok, _, err := c.trigger(10, 10)
 	if err != nil || !ok {
 		t.Fatal("first trigger did not fire")
 	}
-	if _, ok, _ := c.trigger(20); ok {
+	if _, ok, _, _ := c.trigger(20, 20); ok {
 		t.Fatal("trigger fired while a round was pending")
 	}
 	mgr := &stubManager{}
 	if err := c.snapshot(id, 0, mgr); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, _ := c.trigger(20); ok {
+	if _, ok, _, _ := c.trigger(20, 20); ok {
 		t.Fatal("trigger fired with one of two workers confirmed")
 	}
 	if err := c.snapshot(id, 1, mgr); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, _ := c.trigger(30); !ok {
+	if _, ok, _, _ := c.trigger(30, 30); !ok {
 		t.Fatal("trigger quiet after the round committed")
+	}
+}
+
+// TestCoordinatorNextPoll: the trigger names the next offset worth
+// polling — the cadence point, the next clock check, or a batch on
+// while a round is pending — and records the routed count it is given.
+func TestCoordinatorNextPoll(t *testing.T) {
+	c := newTestCoordinator(t, storage.NewMemStore(), 1, 100)
+	poll := func(offset, routed int64, wantFire bool, wantNext int64) uint64 {
+		t.Helper()
+		id, ok, next, err := c.trigger(offset, routed)
+		if err != nil || ok != wantFire || next != wantNext {
+			t.Fatalf("trigger(%d) = fire %v next %d err %v, want fire %v next %d",
+				offset, ok, next, err, wantFire, wantNext)
+		}
+		return id
+	}
+	poll(0, 0, false, 100)
+	poll(37, 30, false, 100) // an early poll is harmless
+	id := poll(100, 90, true, 200)
+	poll(200, 180, false, 200+pendingPoll) // pending: re-poll a batch on
+	if err := c.snapshot(id, 0, &stubManager{}); err != nil {
+		t.Fatal(err)
+	}
+	m, err := LoadManifest(c.cfg.Store, c.cfg.Namespace, id)
+	if err != nil || m.Offset != 100 || m.Routed != 90 {
+		t.Fatalf("manifest offset %d routed %d (%v), want 100 and 90", m.Offset, m.Routed, err)
+	}
+	poll(200+pendingPoll, 250, true, 300+pendingPoll)
+
+	ic, err := NewCoordinator(Config{
+		Store: storage.NewMemStore(), Namespace: "t/ckpt", Workers: 1, Interval: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, off := range []int64{0, 5, 1023, 1024} {
+		if _, _, next, _ := ic.trigger(off, off); next != off/1024*1024+1024 {
+			t.Errorf("interval trigger(%d): next %d, want the next multiple of 1024", off, next)
+		}
 	}
 }
 
@@ -131,14 +171,14 @@ func TestCoordinatorIntervalTrigger(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The clock is consulted only at multiples of 1024.
-	if _, ok, _ := c.trigger(0); ok {
+	if _, ok, _, _ := c.trigger(0, 0); ok {
 		t.Fatal("fired on the very first poll")
 	}
 	now = now.Add(2 * time.Second)
-	if _, ok, _ := c.trigger(1025); ok {
+	if _, ok, _, _ := c.trigger(1025, 1025); ok {
 		t.Fatal("fired between clock-check offsets")
 	}
-	if _, ok, _ := c.trigger(2048); !ok {
+	if _, ok, _, _ := c.trigger(2048, 2048); !ok {
 		t.Fatal("did not fire after the interval elapsed")
 	}
 }
@@ -238,7 +278,7 @@ func TestCoordinatorRecoverSkipsCorrupt(t *testing.T) {
 
 	// A fresh id after recovery must supersede the broken manifest too.
 	// (Offset 20: a full cadence past the recovered offset 10.)
-	if id, ok, _ := c2.trigger(20); !ok || id <= id1+1 {
+	if id, ok, _, _ := c2.trigger(20, 20); !ok || id <= id1+1 {
 		t.Fatalf("post-recovery id %d must exceed every on-disk id", id)
 	}
 }
@@ -269,7 +309,7 @@ func TestCoordinatorRecoverEmptyAndMismatch(t *testing.T) {
 func TestCoordinatorSnapshotErrors(t *testing.T) {
 	store := storage.NewMemStore()
 	c := newTestCoordinator(t, store, 1, 10)
-	id, ok, _ := c.trigger(10)
+	id, ok, _, _ := c.trigger(10, 10)
 	if !ok {
 		t.Fatal("no trigger")
 	}
@@ -282,7 +322,7 @@ func TestCoordinatorSnapshotErrors(t *testing.T) {
 	if err := c2.snapshot(99, 0, &stubManager{}); err == nil {
 		t.Fatal("stray snapshot accepted")
 	}
-	id2, _, _ := c2.trigger(10)
+	id2, _, _, _ := c2.trigger(10, 10)
 	if err := c2.snapshot(id2, 0, &stubManager{}); err != nil {
 		t.Fatal(err)
 	}

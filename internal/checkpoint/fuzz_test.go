@@ -17,13 +17,15 @@ func FuzzManifestCodec(f *testing.F) {
 	seeds := []Manifest{
 		{ID: 1, Created: 1, Offset: 0},
 		sampleManifest(),
-		{ID: ^uint64(0), Created: -1 << 62, Offset: 1 << 62, Operators: []Operator{
+		{ID: ^uint64(0), Created: -1 << 62, Offset: 1 << 62, Routed: 1<<62 - 1, Operators: []Operator{
 			{Worker: 0, Key: "k", Size: 0, Sum: 0},
 		}},
 	}
 	for _, m := range seeds {
 		f.Add(EncodeManifest(m))
 	}
+	// The version-1 layout, which decodes with Routed = Offset.
+	f.Add(encodeManifestV1(sampleManifest()))
 	// Adversarial: empty, bare magic, truncations, flipped checksum.
 	valid := EncodeManifest(sampleManifest())
 	f.Add([]byte{})

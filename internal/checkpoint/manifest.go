@@ -8,7 +8,8 @@ import (
 )
 
 // Manifest describes one complete checkpoint: the spout offset it
-// covers, and the store key, size, and checksum of every operator
+// covers, how many of those tuples were routed to the windowed stage,
+// and the store key, size, and checksum of every operator
 // snapshot blob. A checkpoint is usable iff its manifest decodes, every
 // listed blob is present, and every checksum matches — the manifest is
 // written last, so a crash mid-checkpoint leaves at worst an
@@ -22,6 +23,11 @@ type Manifest struct {
 	// Offset is the number of spout tuples the checkpoint covers; the
 	// spout is sought here on recovery.
 	Offset int64
+	// Routed is how many of the first Offset tuples survived the Map
+	// chain and were routed to the windowed stage; recovery restores
+	// the round-robin phase from it. A version-1 manifest predates the
+	// field and decodes with Routed = Offset, the phase it implied.
+	Routed int64
 	// Operators lists one entry per windowed worker, sorted by worker.
 	Operators []Operator
 }
@@ -38,11 +44,13 @@ type Operator struct {
 	Sum uint64
 }
 
-// Manifest wire format: magic, version, header, operator table, then an
-// FNV-64a checksum of everything before it.
+// Manifest wire format: magic, version, header (id, created, offset,
+// and from version 2 routed), operator table, then an FNV-64a checksum
+// of everything before it. Decoding accepts versions 1 and 2; encoding
+// writes version 2.
 const (
 	manifestMagic   = "SPMF"
-	manifestVersion = 1
+	manifestVersion = 2
 )
 
 // BlobSum returns the checksum the manifest records for a blob.
@@ -59,6 +67,7 @@ func EncodeManifest(m Manifest) []byte {
 	dst = tuple.AppendU64(dst, m.ID)
 	dst = tuple.AppendI64(dst, m.Created)
 	dst = tuple.AppendI64(dst, m.Offset)
+	dst = tuple.AppendI64(dst, m.Routed)
 	dst = tuple.AppendUvar(dst, uint64(len(m.Operators)))
 	for _, op := range m.Operators {
 		dst = tuple.AppendUvar(dst, uint64(op.Worker))
@@ -86,12 +95,17 @@ func DecodeManifest(b []byte) (Manifest, error) {
 		return m, fmt.Errorf("%w: manifest checksum", tuple.ErrCorrupt)
 	}
 	rd := tuple.NewWireReader(body[len(manifestMagic):])
-	if v := rd.Uvar(); rd.Err() == nil && v != manifestVersion {
+	v := rd.Uvar()
+	if rd.Err() == nil && v != 1 && v != manifestVersion {
 		return m, fmt.Errorf("%w: manifest version %d", tuple.ErrCorrupt, v)
 	}
 	m.ID = rd.U64()
 	m.Created = rd.I64()
 	m.Offset = rd.I64()
+	m.Routed = m.Offset
+	if v == manifestVersion {
+		m.Routed = rd.I64()
+	}
 	n := rd.Count(2)
 	if rd.Err() != nil {
 		return Manifest{}, rd.Err()
@@ -123,6 +137,9 @@ func DecodeManifest(b []byte) (Manifest, error) {
 	}
 	if m.Offset < 0 {
 		return Manifest{}, fmt.Errorf("%w: manifest offset %d", tuple.ErrCorrupt, m.Offset)
+	}
+	if m.Routed < 0 || m.Routed > m.Offset {
+		return Manifest{}, fmt.Errorf("%w: manifest routed %d of offset %d", tuple.ErrCorrupt, m.Routed, m.Offset)
 	}
 	return m, nil
 }

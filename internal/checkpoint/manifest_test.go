@@ -13,6 +13,7 @@ func sampleManifest() Manifest {
 		ID:      7,
 		Created: 1700000000123456789,
 		Offset:  5000,
+		Routed:  4321,
 		Operators: []Operator{
 			{Worker: 0, Key: "q/ckpt/s/0000000000000007/w0", Size: 128, Sum: 0xdeadbeef},
 			{Worker: 1, Key: "q/ckpt/s/0000000000000007/w1", Size: 64, Sum: 42},
@@ -79,12 +80,52 @@ func TestManifestRejectsCorruption(t *testing.T) {
 		}),
 		"duplicate worker": reencode(func(m *Manifest) { m.Operators[1].Worker = 0 }),
 		"negative offset":  reencode(func(m *Manifest) { m.Offset = -1 }),
+		"negative routed":  reencode(func(m *Manifest) { m.Routed = -1 }),
+		"routed > offset":  reencode(func(m *Manifest) { m.Routed = m.Offset + 1 }),
 		"empty key":        reencode(func(m *Manifest) { m.Operators[0].Key = "" }),
 	}
 	for name, b := range structural {
 		if _, err := DecodeManifest(b); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+}
+
+// encodeManifestV1 writes m in the version-1 layout, which has no
+// routed count.
+func encodeManifestV1(m Manifest) []byte {
+	dst := []byte(manifestMagic)
+	dst = tuple.AppendUvar(dst, 1)
+	dst = tuple.AppendU64(dst, m.ID)
+	dst = tuple.AppendI64(dst, m.Created)
+	dst = tuple.AppendI64(dst, m.Offset)
+	dst = tuple.AppendUvar(dst, uint64(len(m.Operators)))
+	for _, op := range m.Operators {
+		dst = tuple.AppendUvar(dst, uint64(op.Worker))
+		dst = tuple.AppendStr(dst, op.Key)
+		dst = tuple.AppendUvar(dst, uint64(op.Size))
+		dst = tuple.AppendU64(dst, op.Sum)
+	}
+	return tuple.AppendU64(dst, BlobSum(dst))
+}
+
+// TestManifestV1DecodesRoutedAsOffset: a manifest written before the
+// routed count existed still recovers, with the round-robin phase it
+// implied (Routed = Offset).
+func TestManifestV1DecodesRoutedAsOffset(t *testing.T) {
+	want := sampleManifest()
+	want.Routed = want.Offset
+	got, err := DecodeManifest(encodeManifestV1(sampleManifest()))
+	if err != nil {
+		t.Fatalf("decode v1: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("v1 decode:\n got %+v\nwant %+v", got, want)
+	}
+	// Re-encoding writes the current version, which keeps Routed.
+	again, err := DecodeManifest(EncodeManifest(got))
+	if err != nil || !reflect.DeepEqual(again, want) {
+		t.Fatalf("v1 → v2 round trip: %+v, %v", again, err)
 	}
 }
 

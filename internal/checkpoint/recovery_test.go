@@ -59,11 +59,14 @@ type runOutput map[resKey]core.Result
 
 // topo describes one deterministic test topology. batch is the
 // engine's micro-batch size (0 → engine default of 64; 1 → per-tuple
-// transfer).
+// transfer). filter adds a Map stage dropping every tuple whose Ts is
+// a multiple of 11; columnar runs the columnar lane.
 type topo struct {
-	par     int
-	grouped bool
-	batch   int
+	par      int
+	grouped  bool
+	batch    int
+	filter   bool
+	columnar bool
 }
 
 func (tc topo) factory(store storage.SpillStore) spe.ManagerFactory {
@@ -80,6 +83,9 @@ func (tc topo) factory(store storage.SpillStore) spe.ManagerFactory {
 			ArchiveChunk:       16,
 			DisableIncremental: true,
 			DeferStoreDeletes:  true,
+		}
+		if tc.columnar {
+			cfg.Columnar = core.ColumnarSpec{Enabled: true, ValueField: 0, KeyField: 1}
 		}
 		if tc.grouped {
 			cfg.Agg = agg.Func{Op: agg.Mean}
@@ -116,7 +122,11 @@ func (tc topo) run(ts []tuple.Tuple, store storage.SpillStore, hooks *spe.Checkp
 		FieldsSeed:      99,
 		BatchSize:       tc.batch,
 		QueueSize:       queue,
+		Columnar:        tc.columnar,
 	}).SetSpout(spe.NewSliceSpout(ts))
+	if tc.filter {
+		tp.AddMap("filter", func(t tuple.Tuple) (tuple.Tuple, bool) { return t, t.Ts%11 != 0 })
+	}
 	tp.SetWindowed("win", tc.par, keyBy, tc.factory(store))
 	tp.SetSink(func(w int, r core.Result) { got[resKey{w, r.WindowID}] = r })
 	err := tp.Run()

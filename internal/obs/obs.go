@@ -93,6 +93,10 @@ type Instruments struct {
 	ckpt    *metrics.CheckpointMetrics
 	trace   *TraceRing
 	control ControlSource
+	// registered counts edge, sink, worker, and transport
+	// registrations; a Snapshot records the count it saw, so a reader
+	// can tell a snapshot folded before the run wired its probes.
+	registered uint64
 
 	// Source progress, published by the spout every sourcePublishMask+1
 	// tuples (and at stream end) to keep the hot loop at one branch per
@@ -172,6 +176,7 @@ func (in *Instruments) Trace() *TraceRing {
 func (in *Instruments) RegisterEdge(name string, capacity int, depth func() int) {
 	in.mu.Lock()
 	in.edges = append(in.edges, Edge{Name: name, Capacity: capacity, Depth: depth})
+	in.registered++
 	in.mu.Unlock()
 }
 
@@ -179,6 +184,7 @@ func (in *Instruments) RegisterEdge(name string, capacity int, depth func() int)
 func (in *Instruments) RegisterSink(capacity int, depth func() int) {
 	in.mu.Lock()
 	in.sink = &Edge{Name: "sink", Capacity: capacity, Depth: depth}
+	in.registered++
 	in.mu.Unlock()
 }
 
@@ -187,8 +193,17 @@ func (in *Instruments) RegisterWorker(name string) *WorkerObs {
 	w := &WorkerObs{Name: name}
 	in.mu.Lock()
 	in.workers = append(in.workers, w)
+	in.registered++
 	in.mu.Unlock()
 	return w
+}
+
+// registrations returns the registration count a fresh Snapshot would
+// record.
+func (in *Instruments) registrations() uint64 {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return in.registered
 }
 
 // PublishSource records the spout's progress: tuples emitted so far and

@@ -444,6 +444,50 @@ func TestServerLifecycle(t *testing.T) {
 	}
 }
 
+// TestServerSnapshotAfterLateRegistration: a run registers its edges
+// and workers after the reporter published its first snapshot, and
+// /snapshot must show them before the next tick — as /metrics does.
+// While no probe has been registered since, /snapshot keeps serving
+// the reporter's published snapshot.
+func TestServerSnapshotAfterLateRegistration(t *testing.T) {
+	leakcheck.Check(t)
+	in := NewInstruments()
+	_, src := manualTicker() // never ticks
+	rep := NewReporter(in, time.Hour)
+	rep.SetTicker(src)
+	rep.SetClock(fixedClock(time.Unix(42, 0)))
+	rep.Start()
+	defer rep.Stop()
+	srv := NewServer(in, rep)
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Stop()
+	snapshot := func() Snapshot {
+		t.Helper()
+		resp, err := http.Get("http://" + srv.Addr() + "/snapshot")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var snap Snapshot
+		if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+			t.Fatalf("/snapshot not JSON: %v", err)
+		}
+		return snap
+	}
+
+	if snap := snapshot(); !snap.At.Equal(time.Unix(42, 0)) {
+		t.Fatalf("/snapshot at %v, want the reporter's snapshot at 42s", snap.At)
+	}
+	in.RegisterEdge("win[0]", 8, func() int { return 3 })
+	in.RegisterWorker("win[0]")
+	snap := snapshot()
+	if len(snap.Edges) != 1 || snap.Edges[0].Depth != 3 || len(snap.Workers) != 1 {
+		t.Fatalf("/snapshot after registration: edges %+v, workers %+v", snap.Edges, snap.Workers)
+	}
+}
+
 // TestServerScrapeUnderWriters scrapes /metrics while instruments churn:
 // the endpoint must keep answering without ever touching engine locks.
 func TestServerScrapeUnderWriters(t *testing.T) {

@@ -12,7 +12,8 @@ import (
 // Server is the opt-in HTTP endpoint. Routes:
 //
 //	/metrics  Prometheus text exposition format (version 0.0.4)
-//	/snapshot the full JSON Snapshot (reporter's latest, else on demand)
+//	/snapshot the full JSON Snapshot (reporter's latest while it is
+//	          current, else on demand)
 //	/trace    the sampled tuple-lifecycle ring as JSON, oldest first
 //	/healthz  liveness probe, "ok"
 //
@@ -32,7 +33,10 @@ type Server struct {
 
 // NewServer returns a server over ins. rep may be nil; when set,
 // /snapshot serves the reporter's latest published snapshot (with its
-// delta fields) instead of folding a fresh one.
+// delta fields) instead of folding a fresh one — unless probes were
+// registered after that snapshot was folded (a run wiring its edges
+// and workers after the reporter's first tick), when it folds a fresh
+// one so the reply never omits a registered instrument.
 func NewServer(ins *Instruments, rep *Reporter) *Server {
 	return &Server{ins: ins, rep: rep}
 }
@@ -108,7 +112,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
 	if s.rep != nil {
 		snap = s.rep.Latest()
 	}
-	if snap == nil {
+	if snap == nil || snap.registered != s.ins.registrations() {
 		snap = s.ins.Snapshot(time.Now())
 	}
 	writeJSON(w, snap)

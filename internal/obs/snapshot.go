@@ -141,6 +141,9 @@ type Snapshot struct {
 	Control *ControlSnapshot `json:"control,omitempty"`
 
 	TraceRecorded uint64 `json:"trace_recorded,omitempty"`
+
+	// registered is the instruments' registration count at fold time.
+	registered uint64
 }
 
 // Snapshot folds every instrument into an immutable Snapshot. It is
@@ -157,9 +160,11 @@ func (in *Instruments) Snapshot(now time.Time) *Snapshot {
 	copy(transports, in.transports)
 	reg, store, ckpt, trace := in.reg, in.store, in.ckpt, in.trace
 	plane, control := in.plane, in.control
+	registered := in.registered
 	in.mu.Unlock()
 
 	s := &Snapshot{
+		registered:      registered,
 		At:              now,
 		SourceTuples:    in.sourceTuples.Load(),
 		SourceHighWater: in.sourceHighWater.Load(),

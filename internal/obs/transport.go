@@ -23,6 +23,7 @@ func (in *Instruments) RegisterTransport(name string) *TransportObs {
 	t := &TransportObs{Name: name}
 	in.mu.Lock()
 	in.transports = append(in.transports, t)
+	in.registered++
 	in.mu.Unlock()
 	return t
 }

@@ -158,7 +158,7 @@ func runPipeline(t *testing.T, n, batch, queue, par int) []core.Result {
 	sink := &collectSink{}
 	tp := NewTopology(Config{WatermarkPeriod: 100, BatchSize: batch, QueueSize: queue}).
 		SetSpout(NewSliceSpout(in)).
-		AddMap("id", 2, func(t tuple.Tuple) (tuple.Tuple, bool) { return t, true }).
+		AddMap("id", func(t tuple.Tuple) (tuple.Tuple, bool) { return t, true }).
 		SetWindowed("sum", par, nil, scalarFactory(agg.Func{Op: agg.Sum}, window.Tumbling(100), 10)).
 		SetSink(sink.sink)
 	if err := tp.Run(); err != nil {
@@ -279,12 +279,12 @@ func TestBarrierFlushCoversExactPrefix(t *testing.T) {
 			var atSnapshot int64 = -1
 			fired := false
 			hooks := &CheckpointHooks{
-				Trigger: func(offset int64) (uint64, bool, error) {
+				Trigger: func(offset, _ int64) (uint64, bool, int64, error) {
 					if !fired && offset >= barrierAt {
 						fired = true
-						return 1, true, nil
+						return 1, true, offset + 1, nil
 					}
-					return 0, false, nil
+					return 0, false, offset + 1, nil
 				},
 				Snapshot: func(id uint64, worker int, mgr core.Manager) error {
 					atSnapshot = cm.seen
@@ -353,7 +353,7 @@ func TestBackpressureSlowWindowedWorkerBatched(t *testing.T) {
 	}
 	tp := NewTopology(Config{QueueSize: 1, BatchSize: 8, WatermarkPeriod: 100}).
 		SetSpout(NewSliceSpout(in)).
-		AddMap("id", 2, func(t tuple.Tuple) (tuple.Tuple, bool) { return t, true }).
+		AddMap("id", func(t tuple.Tuple) (tuple.Tuple, bool) { return t, true }).
 		SetWindowed("sum", 2, nil, factory).
 		SetSink(sink.sink)
 	done := make(chan error, 1)
@@ -372,41 +372,5 @@ func TestBackpressureSlowWindowedWorkerBatched(t *testing.T) {
 	}
 	if total != n {
 		t.Errorf("sum across workers = %v, want %d", total, n)
-	}
-}
-
-// ---- throughput benchmarks (make bench-pipeline) ------------------------
-
-// BenchmarkPipeline measures the shuffle pipeline (spout → map →
-// windowed mean → sink) at the batch sizes and parallelisms the perf
-// trajectory tracks; BENCH_pipeline.json is derived from the same
-// configuration by `spear-bench -experiment pipeline`.
-func BenchmarkPipeline(b *testing.B) {
-	const n = 100_000
-	// A single contiguous Value array backs the fixture so GC tracing
-	// of the input does not drown the transport cost being measured.
-	in := make([]tuple.Tuple, n)
-	vals := make([]tuple.Value, n)
-	for i := range in {
-		vals[i] = tuple.Float(float64(i & 255))
-		in[i] = tuple.Tuple{Ts: int64(i), Vals: vals[i : i+1 : i+1]}
-	}
-	for _, par := range []int{1, 4, 8} {
-		for _, batch := range []int{1, 64} {
-			b.Run(fmt.Sprintf("par%d/batch%d", par, batch), func(b *testing.B) {
-				b.ReportAllocs()
-				b.SetBytes(n) // tuples per op, so MB/s reads as Mtuples/s
-				for i := 0; i < b.N; i++ {
-					tp := NewTopology(Config{WatermarkPeriod: 10_000, BatchSize: batch}).
-						SetSpout(NewSliceSpout(in)).
-						AddMap("annotate", par, func(t tuple.Tuple) (tuple.Tuple, bool) { return t, true }).
-						SetWindowed("mean", par, nil, scalarFactory(agg.Func{Op: agg.Mean}, window.Tumbling(10_000), 100)).
-						SetSink(func(int, core.Result) {})
-					if err := tp.Run(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
 	}
 }

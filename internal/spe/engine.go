@@ -44,11 +44,10 @@ type Config struct {
 	// selects the default of 64.
 	BatchSize int
 	// Columnar switches the windowed workers onto the columnar ingest
-	// lane (pooled col.ColumnBatch conversion feeding OnColumnBatch
-	// kernels, when the manager implements core.ColumnManager) and —
-	// for runs with stateless stages, no checkpointing, and no fabric —
-	// fuses the map/filter chain into a single per-batch kernel driven
-	// by the spout, eliminating the per-stage channel hops. Results are
+	// lane (pooled col.ColumnBatch batches feeding OnColumnBatch
+	// kernels, when the manager implements core.ColumnManager). In
+	// process, the spout's fused chain then ships its survivors as
+	// column batches rather than row messages. Results are
 	// bit-identical to the row path by the ColumnManager contract;
 	// managers without columnar kernels keep the row batch path.
 	Columnar bool
@@ -81,11 +80,11 @@ type Config struct {
 }
 
 // CheckpointHooks is the engine side of the checkpoint protocol. The
-// spout polls Trigger between tuples and broadcasts a barrier when a
-// checkpoint starts; every worker aligns barriers across its senders;
-// windowed workers call Snapshot at each alignment point. On restart,
-// Restore is called per worker before any goroutine starts and the
-// spout is sought to StartOffset.
+// spout polls Trigger between tuples, at the offsets Trigger asks for,
+// and broadcasts a barrier when a checkpoint starts; windowed workers
+// call Snapshot at each barrier. On restart, Restore is called per
+// worker before any goroutine starts and the spout is sought to
+// StartOffset.
 //
 // All hooks are optional except that a non-nil CheckpointHooks with a
 // nil Trigger never checkpoints (useful for restore-only runs).
@@ -93,15 +92,25 @@ type CheckpointHooks struct {
 	// StartOffset is the absolute tuple offset to resume the spout
 	// from; 0 starts from the beginning.
 	StartOffset int64
+	// StartRouted is the number of tuples the spout had routed to the
+	// windowed stage when it had emitted StartOffset tuples (fewer when
+	// a Map stage filters). Recovery restores the round-robin phase
+	// from it, so replayed survivor number k reaches the worker the
+	// crashed run sent it to.
+	StartRouted int64
 	// Restore is called once per windowed worker, before the run
 	// starts, to load the manager's snapshotted state.
 	Restore func(worker int, mgr core.Manager) error
 	// Trigger is polled by the spout before emitting the tuple at
-	// offset. Returning ok starts checkpoint id: a barrier is
-	// broadcast covering exactly the first offset tuples. Returning an
-	// error aborts the run (fault injection uses this as the
-	// "crash before barrier" point).
-	Trigger func(offset int64) (id uint64, ok bool, err error)
+	// offset; routed is how many of the first offset tuples survived
+	// the Map chain and were routed to the windowed stage. Returning
+	// ok starts checkpoint id: a barrier is broadcast covering exactly
+	// the first offset tuples. next is the offset of the next poll:
+	// the spout does not call Trigger again before it reaches next
+	// (at least offset+1), so the per-tuple cost is one compare.
+	// Returning an error aborts the run (fault injection uses this as
+	// the "crash before barrier" point).
+	Trigger func(offset, routed int64) (id uint64, ok bool, next int64, err error)
 	// Snapshot is called by each windowed worker at its alignment
 	// point for checkpoint id. An error aborts the run.
 	Snapshot func(id uint64, worker int, mgr core.Manager) error
@@ -125,12 +134,12 @@ func (h *CheckpointHooks) clock() func() time.Time {
 
 type statelessStage struct {
 	name string
-	par  int
 	fn   MapFunc
 }
 
 // Topology is a continuous query's execution DAG: spout → stateless
-// stages → windowed stage → sink.
+// stages → windowed stage → sink. The stateless stages run fused in
+// the spout goroutine, so the windowed workers have one sender.
 type Topology struct {
 	cfg      Config
 	spout    Spout
@@ -163,9 +172,10 @@ func (tp *Topology) SetSpout(s Spout) *Topology {
 	return tp
 }
 
-// AddMap appends a stateless stage with the given parallelism.
-func (tp *Topology) AddMap(name string, parallelism int, fn MapFunc) *Topology {
-	tp.stages = append(tp.stages, statelessStage{name: name, par: parallelism, fn: fn})
+// AddMap appends a stateless stage. Stages run in order, fused into
+// the spout goroutine.
+func (tp *Topology) AddMap(name string, fn MapFunc) *Topology {
+	tp.stages = append(tp.stages, statelessStage{name: name, fn: fn})
 	return tp
 }
 
@@ -197,9 +207,6 @@ func (tp *Topology) validate() error {
 		return fmt.Errorf("spe: windowed parallelism %d", tp.windowed.par)
 	}
 	for _, s := range tp.stages {
-		if s.par <= 0 {
-			return fmt.Errorf("spe: stage %q parallelism %d", s.name, s.par)
-		}
 		if s.fn == nil {
 			return fmt.Errorf("spe: stage %q has no function", s.name)
 		}
@@ -211,7 +218,7 @@ func (tp *Topology) validate() error {
 }
 
 // errOnce records the first error raised by any worker. The hot path —
-// every spout, stage, and windowed loop polls get() per message — is a
+// the spout and every windowed loop poll get() per message — is a
 // single atomic load while no error has occurred; the mutex guards only
 // the first-error slot and is touched solely by set() and by get()
 // after a failure (when performance no longer matters).
@@ -254,48 +261,23 @@ func (tp *Topology) Run() error {
 	}
 	var failed errOnce
 
-	// Wire channels: one per worker per stage. Channels carry micro-
-	// batches ([]Message) rather than single messages; the shared pool
-	// recycles batch buffers between senders and receivers so the
-	// steady state is allocation-free.
+	// The windowed stage's input channels carry micro-batches
+	// ([]Message) rather than single messages; the shared pool recycles
+	// batch buffers between the spout and the workers so the steady
+	// state is allocation-free.
 	pool := newBatchPool(tp.cfg.BatchSize)
 	hooks := tp.cfg.Checkpoint
 
-	// Operator fusion: a columnar run with stateless stages, no
-	// checkpoint hooks (barrier alignment needs the per-stage channel
-	// structure), and no fabric collapses the whole stage chain into a
-	// fusedChain run by the spout goroutine — the stage channels and
-	// goroutines below are never built, and the windowed stage sees the
-	// spout as its single sender.
-	fused := tp.cfg.Columnar && len(tp.stages) > 0 && hooks == nil && tp.fabric == nil
-
-	mkChans := func(n int) []chan []Message {
-		cs := make([]chan []Message, n)
-		for i := range cs {
-			cs[i] = make(chan []Message, tp.cfg.QueueSize)
-		}
-		return cs
-	}
-	stageIn := make([][]chan []Message, len(tp.stages))
-	if !fused {
-		for i, s := range tp.stages {
-			stageIn[i] = mkChans(s.par)
-		}
-	}
-	winSenders := 1
-	if len(tp.stages) > 0 && !fused {
-		winSenders = tp.stages[len(tp.stages)-1].par
-	}
-
 	// The windowed stage's input channels and result fan-in either run
 	// locally or belong to a fabric (network outboxes pumped to remote
-	// shard nodes, results arriving over the wire).
+	// shard nodes, results arriving over the wire). Either way the
+	// spout is the stage's one sender.
 	var winIn []chan []Message
 	var results chan []SinkItem     // local fan-in; nil under a fabric
 	var resultsIn <-chan []SinkItem // what the sink drains
 	if tp.fabric != nil {
 		var err error
-		winIn, err = tp.fabric.Open(tp.windowed.par, winSenders, tp.cfg.QueueSize, FabricEnv{
+		winIn, err = tp.fabric.Open(tp.windowed.par, 1, tp.cfg.QueueSize, FabricEnv{
 			Recycle: pool.put,
 			Fail:    failed.set,
 		})
@@ -307,7 +289,10 @@ func (tp *Topology) Run() error {
 		}
 		resultsIn = tp.fabric.Results()
 	} else {
-		winIn = mkChans(tp.windowed.par)
+		winIn = make([]chan []Message, tp.windowed.par)
+		for i := range winIn {
+			winIn[i] = make(chan []Message, tp.cfg.QueueSize)
+		}
 		results = make(chan []SinkItem, tp.cfg.QueueSize)
 		resultsIn = results
 	}
@@ -319,36 +304,12 @@ func (tp *Topology) Run() error {
 	var trace *obs.TraceRing
 	if ins != nil {
 		trace = ins.Trace()
-		for si, s := range tp.stages {
-			for wi, c := range stageIn[si] {
-				c := c
-				ins.RegisterEdge(fmt.Sprintf("%s[%d]", s.name, wi), tp.cfg.QueueSize, func() int { return len(c) })
-			}
-		}
 		for wi, c := range winIn {
 			c := c
 			ins.RegisterEdge(fmt.Sprintf("%s[%d]", tp.windowed.name, wi), tp.cfg.QueueSize, func() int { return len(c) })
 		}
 		sinkCh := resultsIn
 		ins.RegisterSink(tp.cfg.QueueSize, func() int { return len(sinkCh) })
-	}
-
-	firstIn := winIn
-	if len(tp.stages) > 0 && !fused {
-		firstIn = stageIn[0]
-	}
-	fieldsSeed := maphash.MakeSeed()
-
-	// outPartitioner builds the partitioner a sender uses toward the
-	// windowed stage.
-	winPartitioner := func() Partitioner {
-		if tp.windowed.keyBy != nil {
-			if tp.cfg.FieldsSeed != 0 {
-				return NewSeededFields(tp.windowed.keyBy, tp.cfg.FieldsSeed)
-			}
-			return NewFields(tp.windowed.keyBy, fieldsSeed)
-		}
-		return NewShuffle()
 	}
 
 	// Build every worker's manager before starting any goroutine so a
@@ -388,48 +349,44 @@ func (tp *Topology) Run() error {
 		}
 	}
 
-	var wgSpout, wgSink sync.WaitGroup
-	stageWGs := make([]*sync.WaitGroup, len(tp.stages))
-	var wgWin sync.WaitGroup
+	var wgSpout, wgWin, wgSink sync.WaitGroup
 
-	// Spout: route data into scatter buffers, generate watermarks,
-	// broadcast control tuples behind a full flush.
+	// Spout: run the fused Map chain, route survivors into scatter
+	// buffers, generate watermarks, broadcast control tuples behind a
+	// full flush.
 	wgSpout.Add(1)
 	go func() {
 		defer wgSpout.Done()
 		defer func() {
-			for _, c := range firstIn {
+			for _, c := range winIn {
 				close(c)
 			}
 		}()
-		out := newBatcher(firstIn, tp.cfg.BatchSize, pool)
+		out := newBatcher(winIn, tp.cfg.BatchSize, pool)
 		defer out.flushAll() // runs before the channel-close defer above
-		var part Partitioner
-		if len(tp.stages) > 0 && !fused {
-			part = NewShuffle()
-		} else {
-			part = winPartitioner()
-		}
-		emitTuple := func(t tuple.Tuple) {
-			out.send(part.Route(t, len(firstIn)), Message{Tuple: t, Sender: 0})
-		}
-		var fchain *fusedChain
-		if fused {
-			fchain = newFusedChain(tp.stages, out, part, len(winIn), tp.cfg.BatchSize)
-			emitTuple = fchain.push
-			defer fchain.flush() // LIFO: drains into out before flushAll above
-		}
-		var offset int64
+		// offset counts tuples pulled from the spout; nextPoll is the
+		// offset of the next checkpoint poll (never, without a Trigger).
+		var offset, routed int64
+		nextPoll := int64(math.MaxInt64)
 		if hooks != nil {
-			offset = hooks.StartOffset
-			if offset > 0 {
-				// Replayed tuple number k must reach the worker the
-				// crashed run sent it to: restore the round-robin phase.
-				if _, isShuffle := part.(*Shuffle); isShuffle {
-					part = NewShuffleAt(int(offset % int64(len(firstIn))))
-				}
+			offset, routed = hooks.StartOffset, hooks.StartRouted
+			if hooks.Trigger != nil {
+				nextPoll = offset
 			}
 		}
+		// Replayed survivor number k must reach the worker the crashed
+		// run sent it to: restore the round-robin phase.
+		var part Partitioner = NewShuffleAt(int(routed % int64(len(winIn))))
+		if tp.windowed.keyBy != nil {
+			if tp.cfg.FieldsSeed != 0 {
+				part = NewSeededFields(tp.windowed.keyBy, tp.cfg.FieldsSeed)
+			} else {
+				part = NewFields(tp.windowed.keyBy, maphash.MakeSeed())
+			}
+		}
+		chain := newFusedChain(tp.stages, out, part, tp.cfg.BatchSize, tp.cfg.Columnar && tp.fabric == nil)
+		chain.routed = routed
+		defer chain.flush() // LIFO: drains into out before flushAll above
 		var gen *watermark.Generator
 		if tp.cfg.WatermarkPeriod > 0 {
 			gen = watermark.NewGenerator(tp.cfg.WatermarkPeriod, tp.cfg.WatermarkLag)
@@ -446,15 +403,19 @@ func (tp *Topology) Run() error {
 			// barrier covers exactly the first offset tuples of the
 			// stream — that offset is what the manifest records and what
 			// recovery seeks the spout to.
-			if hooks != nil && hooks.Trigger != nil && failed.get() == nil {
-				id, start, err := hooks.Trigger(offset)
+			if offset >= nextPoll && failed.get() == nil {
+				// Route the buffered tuples first, so routed counts the
+				// survivors of exactly the first offset tuples.
+				chain.run()
+				id, start, next, err := hooks.Trigger(offset, chain.routed)
+				nextPoll = max(next, offset+1)
 				if err != nil {
 					failed.set(fmt.Errorf("spe: checkpoint trigger: %w", err))
 				} else if start {
-					// The flush inside broadcast makes the barrier
-					// partition each channel exactly at offset, batched
-					// or not.
-					out.broadcast(Message{IsBarrier: true, Barrier: id, Sender: 0})
+					// The flushes make the barrier partition each
+					// channel exactly at offset, batched or not.
+					chain.flush()
+					out.broadcast(Message{IsBarrier: true, Barrier: id})
 				}
 			}
 			t, ok := tp.spout.Next()
@@ -468,15 +429,13 @@ func (tp *Topology) Run() error {
 			if gen != nil {
 				if wm, emit := gen.Observe(t.Ts); emit {
 					// Everything routed before the watermark must not be
-					// overtaken by it — including tuples still in the
-					// fused chain's batch buffer.
-					if fchain != nil {
-						fchain.flush()
-					}
-					out.broadcast(Message{IsWM: true, WM: wm, Sender: 0})
+					// overtaken by it — including tuples still buffered
+					// in the chain.
+					chain.flush()
+					out.broadcast(Message{IsWM: true, WM: wm})
 				}
 			}
-			emitTuple(t)
+			chain.push(t)
 			offset++
 			if ins != nil {
 				// One branch per tuple in the common case: progress is
@@ -501,103 +460,10 @@ func (tp *Topology) Run() error {
 		// (the semantics Flink gives bounded inputs). Managers clamp
 		// their fire range to windows that received tuples.
 		if tp.cfg.FinalWatermark && seen && tp.cfg.WatermarkPeriod > 0 && failed.get() == nil {
-			if fchain != nil {
-				fchain.flush()
-			}
-			out.broadcast(Message{IsWM: true, WM: int64(^uint64(0) >> 1), Sender: 0})
+			chain.flush()
+			out.broadcast(Message{IsWM: true, WM: int64(^uint64(0) >> 1)})
 		}
 	}()
-
-	// Stateless stages (skipped entirely when fused: the spout drives
-	// the whole chain in-line and feeds winIn directly).
-	for si, s := range tp.stages {
-		if fused {
-			break
-		}
-		nextIn := winIn
-		if si+1 < len(tp.stages) {
-			nextIn = stageIn[si+1]
-		}
-		lastStage := si+1 >= len(tp.stages)
-		senders := 1 // the spout
-		if si > 0 {
-			senders = tp.stages[si-1].par
-		}
-		wg := &sync.WaitGroup{}
-		stageWGs[si] = wg
-		for wi := 0; wi < s.par; wi++ {
-			wg.Add(1)
-			go func(si, wi int, in chan []Message, fn MapFunc) {
-				defer wg.Done()
-				var part Partitioner
-				if lastStage {
-					part = winPartitioner()
-				} else {
-					part = NewShuffle()
-				}
-				out := newBatcher(nextIn, tp.cfg.BatchSize, pool)
-				defer out.flushAll() // before wg.Done → before downstream close
-				tracker := watermark.NewTracker(senders)
-				var al *barrierAligner
-				if hooks != nil {
-					al = newBarrierAligner(senders, hooks.clock(), nil)
-				}
-				// dead is the failure flag sampled once per batch: the
-				// hot loop avoids even the atomic load, at the cost of
-				// draining at most one extra batch after a failure.
-				dead := false
-				process := func(msg Message) {
-					if msg.IsWM {
-						if wm, adv := tracker.Update(msg.Sender, msg.WM); adv {
-							out.broadcast(Message{IsWM: true, WM: wm, Sender: wi})
-						}
-						return
-					}
-					if dead {
-						return
-					}
-					if t, ok := fn(msg.Tuple); ok {
-						out.send(part.Route(t, len(nextIn)), Message{Tuple: t, Sender: wi})
-					}
-				}
-				for batch := range in {
-					dead = failed.get() != nil
-					for _, msg := range batch {
-						if al == nil || (!al.Aligning() && !msg.IsBarrier) {
-							process(msg)
-							continue
-						}
-						events, err := al.Observe(msg)
-						if err != nil {
-							failed.set(fmt.Errorf("spe: %s[%d]: %w", tp.stages[si].name, wi, err))
-							continue
-						}
-						for _, ev := range events {
-							if ev.snapshot {
-								// Stateless stages have nothing to
-								// snapshot; the alignment point just
-								// forwards the barrier to every
-								// downstream worker (flushing pending
-								// data first).
-								out.broadcast(Message{IsBarrier: true, Barrier: ev.id, Sender: wi})
-								continue
-							}
-							process(ev.msg)
-						}
-					}
-					pool.put(batch)
-				}
-			}(si, wi, stageIn[si][wi], s.fn)
-		}
-		// Close the next stage's channels when this stage finishes.
-		go func(wg *sync.WaitGroup, nextIn []chan []Message, prev func()) {
-			prev() // wait for upstream to close our inputs first
-			wg.Wait()
-			for _, c := range nextIn {
-				close(c)
-			}
-		}(wg, nextIn, waiterFor(si, &wgSpout, stageWGs))
-	}
 
 	// Windowed workers (local execution only — under a fabric the shard
 	// nodes run the identical loop via StartShard).
@@ -614,7 +480,7 @@ func (tp *Topology) Run() error {
 				runWinWorker(winWorkerCfg{
 					name:      tp.windowed.name,
 					wi:        wi,
-					senders:   winSenders,
+					senders:   1,
 					batchSize: tp.cfg.BatchSize,
 					columnar:  tp.cfg.Columnar,
 					hooks:     hooks,
@@ -650,11 +516,6 @@ func (tp *Topology) Run() error {
 	}()
 
 	wgSpout.Wait()
-	for _, wg := range stageWGs {
-		if wg != nil { // nil when the stage chain was fused away
-			wg.Wait()
-		}
-	}
 	wgWin.Wait()
 	if results != nil {
 		close(results)
@@ -666,19 +527,4 @@ func (tp *Topology) Run() error {
 		failed.set(tp.fabric.Err())
 	}
 	return failed.get()
-}
-
-// waiterFor returns a function that blocks until stage si's inputs are
-// closed: the spout for stage 0, the previous stage otherwise. Channel
-// closure cascades through these waiters.
-func waiterFor(si int, spout *sync.WaitGroup, stageWGs []*sync.WaitGroup) func() {
-	if si == 0 {
-		return spout.Wait
-	}
-	prev := stageWGs[si-1]
-	return func() {
-		if prev != nil {
-			prev.Wait()
-		}
-	}
 }

@@ -187,7 +187,7 @@ func TestTopologyValidation(t *testing.T) {
 	if err := mk(func(tp *Topology) { tp.sink = nil }); err == nil {
 		t.Error("no sink accepted")
 	}
-	if err := mk(func(tp *Topology) { tp.AddMap("m", 0, nil) }); err == nil {
+	if err := mk(func(tp *Topology) { tp.AddMap("m", nil) }); err == nil {
 		t.Error("bad stage accepted")
 	}
 	if err := mk(func(*Topology) {}); err != nil {
@@ -243,8 +243,8 @@ func TestEndToEndWithStatelessStage(t *testing.T) {
 	}
 	tp := NewTopology(Config{WatermarkPeriod: 100}).
 		SetSpout(NewSliceSpout(in)).
-		AddMap("filter", 2, onlyEven).
-		AddMap("double", 3, doubled).
+		AddMap("filter", onlyEven).
+		AddMap("double", doubled).
 		SetWindowed("sum", 1, nil, scalarFactory(agg.Func{Op: agg.Sum}, window.Tumbling(100), 10)).
 		SetSink(sink.sink)
 	if err := tp.Run(); err != nil {
@@ -497,7 +497,7 @@ func TestBackpressureTinyQueues(t *testing.T) {
 	sink := &collectSink{}
 	tp := NewTopology(Config{QueueSize: 1, WatermarkPeriod: 100}).
 		SetSpout(NewSliceSpout(in)).
-		AddMap("id", 2, func(t tuple.Tuple) (tuple.Tuple, bool) { return t, true }).
+		AddMap("id", func(t tuple.Tuple) (tuple.Tuple, bool) { return t, true }).
 		SetWindowed("sum", 2, nil, scalarFactory(agg.Func{Op: agg.Sum}, window.Tumbling(100), 10)).
 		SetSink(sink.sink)
 	if err := tp.Run(); err != nil {

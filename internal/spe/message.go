@@ -19,16 +19,15 @@ import (
 // Message is the unit of transfer between workers: either a data tuple
 // or a control tuple — a watermark (§2: "control-tuples carrying a
 // timestamp ... sent by SPE components periodically") or a checkpoint
-// barrier (Chandy-Lamport-style, injected by the spout and aligned by
-// every multi-input worker before it snapshots).
+// barrier (Chandy-Lamport-style, injected by the spout; a windowed
+// worker snapshots when it arrives).
 //
-// A fused columnar run additionally ships whole column batches: Cols,
-// when non-nil, carries a pooled ColumnBatch holding an entire
+// An in-process columnar run additionally ships whole column batches:
+// Cols, when non-nil, carries a pooled ColumnBatch holding an entire
 // micro-batch of data tuples already in column format, built by the
-// spout's fused chain. Cols messages exist only on the local fused
-// path (fusion requires no fabric), never cross the wire, and the
-// receiving window worker owns the batch — it must recycle it with
-// col.Put after ingest.
+// spout's fused chain. Cols messages never cross the wire (under a
+// fabric the chain ships rows), and the receiving window worker owns
+// the batch — it must recycle it with col.Put after ingest.
 type Message struct {
 	Tuple     tuple.Tuple
 	Cols      *col.ColumnBatch

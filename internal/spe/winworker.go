@@ -162,9 +162,9 @@ func runWinWorker(c winWorkerCfg) {
 		}
 		emit(rs)
 	}
-	// dead samples the failure flag once per batch (see the
-	// stateless stage): data after a failure drains for at most
-	// one batch before the worker goes quiet.
+	// dead samples the failure flag once per batch, so the hot loop
+	// avoids even the atomic load: data after a failure drains for at
+	// most one batch before the worker goes quiet.
 	dead := false
 	process := func(msg Message) {
 		if dead {

@@ -242,7 +242,8 @@ func (q *Query) Source(s Source) *Query {
 }
 
 // Map appends a stateless transformation stage; returning ok=false
-// drops the tuple (filter).
+// drops the tuple (filter). Map stages run in order, fused into the
+// source's goroutine.
 func (q *Query) Map(fn func(Tuple) (Tuple, bool)) *Query {
 	if fn == nil {
 		return q.errf("nil Map function")
@@ -485,10 +486,9 @@ func (q *Query) QueueSize(n int) *Query {
 // Columnar opts the query into the columnar execution fast lane. The
 // windowed workers convert each micro-batch into typed column batches
 // (raw []float64 value columns, dictionary-coded string key columns)
-// and run tight-loop aggregation kernels over them; Map stages — when
-// present without checkpointing or Distribute — are additionally fused
-// into a single per-batch kernel driven by the source, eliminating the
-// per-stage channel hops.
+// and run tight-loop aggregation kernels over them; in process, the
+// source's fused Map chain ships its survivors to them already in
+// column format.
 //
 // valueField declares the 0-based tuple field the aggregate's value
 // function reads (it must hold the Float or Int value the extractor
@@ -902,7 +902,7 @@ func (q *Query) Run(sink func(worker int, r Result)) (Summary, error) {
 		Obs:             ins,
 	}).SetSpout(q.source)
 	for _, fn := range q.maps {
-		tp.AddMap(q.name+"/map", q.parallelism, fn)
+		tp.AddMap(q.name+"/map", fn)
 	}
 	tp.SetWindowed(q.name, q.parallelism, q.keyBy, factory)
 	tp.SetSink(func(worker int, r core.Result) { sink(worker, r) })
