@@ -1,17 +1,22 @@
 # Correctness gate for the SPEAr repo. `make check` is the bar every
-# change must clear locally and in CI: compile, vet, the in-repo
+# change must clear locally and in CI: compile, gofmt, vet, the in-repo
 # spearlint analyzers (both the syntactic layer and the whole-program
 # dataflow layer), the full test suite under the race detector, and the
 # crash-recovery integration suite (also race-enabled).
 
 GO ?= go
 
-.PHONY: check build vet lint lint-ssa test race recovery obs obs-scrape fuzz bench-checkpoint bench-spill bench-shuffle bench-columnar bench-adaptive e2e-dist
+.PHONY: check build fmt vet lint lint-ssa test race recovery obs obs-scrape fuzz bench-checkpoint bench-spill bench-shuffle bench-columnar bench-adaptive e2e-dist
 
-check: build vet lint lint-ssa race recovery obs
+check: build fmt vet lint lint-ssa race recovery obs
 
 build:
 	$(GO) build ./...
+
+# Formatting gate: every Go file in the tree (the benchmark module and
+# lint fixtures included) must be gofmt-clean; the offenders are listed.
+fmt:
+	test -z "$$(gofmt -l . | tee /dev/stderr)"
 
 vet:
 	$(GO) vet ./...

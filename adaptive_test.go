@@ -39,7 +39,7 @@ func TestAdaptiveBudgetIdentity(t *testing.T) {
 		build := func() *Query {
 			return NewQuery("adidentity").
 				Source(FromSlice(in)).
-				TumblingWindow(100 * time.Second).
+				TumblingWindow(100*time.Second).
 				Median(func(t Tuple) float64 { return t.Vals[0].AsFloat() }).
 				BudgetTuples(80).Error(0.10, 0.95).Seed(4)
 		}
@@ -86,7 +86,7 @@ func TestAdaptiveBudgetIdentity(t *testing.T) {
 		build := func(src Source, store storage.SpillStore) *Query {
 			return NewQuery("adckpt").
 				Source(src).
-				TumblingWindow(100 * time.Second).
+				TumblingWindow(100*time.Second).
 				Mean(func(t Tuple) float64 { return t.Vals[0].AsFloat() }).
 				BudgetTuples(64).Error(0.05, 0.95).Seed(7).
 				QueueSize(32).
@@ -196,7 +196,7 @@ func TestAdaptiveShedReportsContract(t *testing.T) {
 		BudgetTuples(64).Error(0.10, 0.95).Seed(9).
 		DisableIncremental().
 		LatencySLO(time.Millisecond).AdaptiveBudget(64, 64).
-		ObserveEvery(2*time.Millisecond).
+		ObserveEvery(2 * time.Millisecond).
 		MetricsInto(reg).
 		Run(func(_ int, res Result) {
 			mu.Lock()

@@ -36,8 +36,8 @@ var spillSeamScope = []string{
 // transportSendScope limits the send-path check to the network shuffle:
 // pump drains a worker outbox at full stream rate and sendSeq writes
 // one frame per call, so everything they reach synchronously — the
-// encode closures and the frame Append helpers behind them — is charged
-// per frame. Reconnection lives on the redial goroutine by design, so
+// pump's encode helpers and the frame Append helpers behind them — is
+// charged per frame. Reconnection lives on the redial goroutine by design, so
 // `go` statement subtrees are exempt.
 var transportSendScope = []string{
 	"internal/transport",
@@ -120,9 +120,9 @@ func runHotLoop(p *Pkg) []Finding {
 
 // runTransportSend is the internal/transport side: the shuffle send
 // path. Roots are the outbox pump and the link's sendSeq; reachability
-// expands through package-local calls — including calls inside the
-// encode closures handed to sendSeq, which run synchronously on the
-// send path — but never through a `go` statement (the redial plane is
+// expands through package-local calls — including calls inside
+// function literals, which run synchronously on the send path — but
+// never through a `go` statement (the redial plane is
 // the sanctioned home for blocking work). Each reachable body gets the
 // worker-loop scan plus a whole-body net.Dial* scan.
 func runTransportSend(p *Pkg) []Finding {

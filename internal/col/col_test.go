@@ -62,12 +62,12 @@ func TestRoundTripUniformFloat(t *testing.T) {
 func TestRoundTripMixedKindsAndNulls(t *testing.T) {
 	rows := []tuple.Tuple{
 		row(1, tuple.Float(1.5), tuple.String_("a")),
-		row(2, tuple.Int(7)), // short row: column 1 missing
-		row(3, tuple.Value{}, tuple.String_("b")),              // invalid field
-		row(4, tuple.Float(math.NaN()), tuple.String_("a")),    // NaN payload
-		row(5, tuple.Bool(true), tuple.String_("")),            // kind mismatch in col 0
-		row(6, tuple.Float(math.Inf(-1)), tuple.Int(-1<<62)),   // mismatch in col 1
-		row(7),                                                 // empty row
+		row(2, tuple.Int(7)),                                 // short row: column 1 missing
+		row(3, tuple.Value{}, tuple.String_("b")),            // invalid field
+		row(4, tuple.Float(math.NaN()), tuple.String_("a")),  // NaN payload
+		row(5, tuple.Bool(true), tuple.String_("")),          // kind mismatch in col 0
+		row(6, tuple.Float(math.Inf(-1)), tuple.Int(-1<<62)), // mismatch in col 1
+		row(7), // empty row
 		row(8, tuple.Float(-0.0), tuple.String_("αβγ\x00\xff")), // negative zero, odd bytes
 	}
 	b := Get()

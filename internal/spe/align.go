@@ -21,7 +21,7 @@ import (
 // barriers are re-observed recursively when an alignment completes, so
 // back-to-back checkpoints nest correctly.
 type barrierAligner struct {
-	senders int
+	senders  int
 	aligning bool
 	id       uint64
 	passed   []bool

@@ -90,8 +90,8 @@ func TestAlignerBuffersPostBarrierTraffic(t *testing.T) {
 	evs := feed(t, a,
 		dataMsg(0, 1),
 		barrierMsg(0, 1),
-		dataMsg(0, 10), // post-barrier: buffered
-		dataMsg(1, 2),  // pre-barrier: released
+		dataMsg(0, 10),                        // post-barrier: buffered
+		dataMsg(1, 2),                         // pre-barrier: released
 		Message{IsWM: true, WM: 5, Sender: 0}, // post-barrier wm: buffered
 		barrierMsg(1, 1),
 		dataMsg(1, 11),

@@ -110,14 +110,16 @@ func DecodeChunk(b []byte) ([]tuple.Tuple, error) {
 		return nil, fmt.Errorf("%w: count %d", ErrChunkCorrupt, n)
 	}
 	out := make([]tuple.Tuple, 0, n)
+	var d tuple.Decoder
+	d.Batch(int(n))
 	prev := int64(0)
 	for i := uint64(0); i < n; i++ {
-		d, sz := binary.Varint(payload[pos:])
+		delta, sz := binary.Varint(payload[pos:])
 		if sz <= 0 {
 			return nil, fmt.Errorf("%w: timestamp delta", ErrChunkCorrupt)
 		}
 		pos += sz
-		prev += d
+		prev += delta
 		nv, sz := binary.Uvarint(payload[pos:])
 		if sz <= 0 {
 			return nil, fmt.Errorf("%w: value count", ErrChunkCorrupt)
@@ -125,23 +127,16 @@ func DecodeChunk(b []byte) ([]tuple.Tuple, error) {
 		pos += sz
 		// Every value takes at least one byte (its kind), so a count
 		// above the remaining bytes is corrupt — checked before the
-		// capacity allocation below.
+		// decoder sizes its arena.
 		if nv > uint64(len(payload)-pos) {
 			return nil, fmt.Errorf("%w: value count %d", ErrChunkCorrupt, nv)
 		}
-		t := tuple.Tuple{Ts: prev}
-		if nv > 0 {
-			t.Vals = make([]tuple.Value, 0, nv)
+		vals, used, err := d.Values(payload[pos:], nv)
+		if err != nil {
+			return nil, err
 		}
-		for j := uint64(0); j < nv; j++ {
-			v, used, err := tuple.DecodeValue(payload[pos:])
-			if err != nil {
-				return nil, err
-			}
-			t.Vals = append(t.Vals, v)
-			pos += used
-		}
-		out = append(out, t)
+		pos += used
+		out = append(out, tuple.Tuple{Ts: prev, Vals: vals})
 	}
 	if pos != len(payload) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrChunkCorrupt, len(payload)-pos)

@@ -16,7 +16,7 @@ import (
 //
 //  1. DecodeChunk must never panic or balloon memory, whatever the
 //     input (the count and value-count sanity bounds, the flate
-//     LimitReader, and tuple.DecodeValue's wrap-safe length checks are
+//     LimitReader, and tuple.Decoder's wrap-safe length checks are
 //     the load-bearing pieces).
 //  2. Any successful decode must round-trip: re-encoding the decoded
 //     chunk at level 0 and decoding again yields the same tuples.

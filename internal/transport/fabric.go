@@ -254,14 +254,14 @@ func shake(conn net.Conn, hello Hello) (Welcome, error) {
 }
 
 // pump drains one destination worker's outbox onto the node's link:
-// contiguous data tuples become batch frames (the encode loop performs
-// no per-tuple work beyond the codec append), control messages become
+// contiguous data tuples become batch frames, control messages become
 // their control frames, and the outbox closing becomes the worker's
-// End frame.
+// End frame. Every frame is encoded into the pump's reused buffer
+// before the link's lock is taken.
 func (n *fabricNode) pump(dest int, out <-chan []spe.Message) {
 	defer n.wg.Done()
 	scratch := make([]tupleRun, 0, 4)
-	ts := make([]tuple.Tuple, 0, n.f.cfg.BatchSize)
+	enc := newPumpEncoder(n.f.cfg.BatchSize)
 	for batch := range out {
 		scratch = scratch[:0]
 		// Split the batch into runs: maximal spans of data tuples from
@@ -282,25 +282,16 @@ func (n *fabricNode) pump(dest int, out <-chan []spe.Message) {
 		}
 		failed := false
 		for _, run := range scratch {
-			run := run
 			var err error
 			switch {
 			case run.control != nil && run.control.IsWM:
-				err = n.lk.sendSeq(func(dst []byte, seq uint64) []byte {
-					return AppendWatermark(dst, seq, dest, run.control.Sender, run.control.WM)
-				})
+				enc.body = AppendWatermark(enc.body[:0], 0, dest, run.control.Sender, run.control.WM)
+				err = n.lk.sendSeq(enc.body)
 			case run.control != nil:
-				err = n.lk.sendSeq(func(dst []byte, seq uint64) []byte {
-					return AppendBarrier(dst, seq, dest, run.control.Sender, run.control.Barrier)
-				})
+				enc.body = AppendBarrier(enc.body[:0], 0, dest, run.control.Sender, run.control.Barrier)
+				err = n.lk.sendSeq(enc.body)
 			default:
-				ts = ts[:0]
-				for i := range run.msgs {
-					ts = append(ts, run.msgs[i].Tuple)
-				}
-				err = n.lk.sendSeq(func(dst []byte, seq uint64) []byte {
-					return AppendBatch(dst, seq, dest, run.sender, ts)
-				})
+				err = enc.sendBatch(n.lk, dest, run.sender, run.msgs)
 			}
 			if err != nil {
 				failed = true
@@ -321,9 +312,33 @@ func (n *fabricNode) pump(dest int, out <-chan []spe.Message) {
 			return
 		}
 	}
-	_ = n.lk.sendSeq(func(dst []byte, seq uint64) []byte {
-		return AppendEnd(dst, seq, dest)
-	})
+	_ = n.lk.sendSeq(AppendEnd(enc.body[:0], 0, dest))
+}
+
+// pumpEncoder is one pump's reusable encode state: the tuples of the
+// current run and the frame body they encode into. The link retains
+// its own exact-size copy of each frame, so both are reused across
+// frames.
+type pumpEncoder struct {
+	ts   []tuple.Tuple
+	body []byte
+}
+
+func newPumpEncoder(batchSize int) *pumpEncoder {
+	return &pumpEncoder{ts: make([]tuple.Tuple, 0, batchSize), body: make([]byte, 0, 4<<10)}
+}
+
+// sendBatch encodes one run of data messages from sender as a batch
+// frame for dest and sends it. The tuple loop is the transport send
+// hot path: it runs outside the link's lock and performs no work per
+// tuple beyond the codec append.
+func (e *pumpEncoder) sendBatch(lk *link, dest, sender int, msgs []spe.Message) error {
+	e.ts = e.ts[:0]
+	for i := range msgs {
+		e.ts = append(e.ts, msgs[i].Tuple)
+	}
+	e.body = AppendBatch(e.body[:0], 0, dest, sender, e.ts)
+	return lk.sendSeq(e.body)
 }
 
 // tupleRun is one span of a batch: either a contiguous data run from

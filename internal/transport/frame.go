@@ -259,7 +259,7 @@ type Frame struct {
 	Barrier uint64        // Barrier: checkpoint id
 	Acked   uint64        // Credit: cumulative delivered seq
 	Worker  int           // Result: producing worker
-	Tuples  []tuple.Tuple // Batch
+	Tuples  []tuple.Tuple // Batch; see linkHandler.Frame for its lifetime
 	Result  core.Result   // Result
 	Snap    SnapAck       // SnapAck
 	Reason  string        // Reject
@@ -375,8 +375,29 @@ func AppendGoodbye(dst []byte, seq uint64) []byte {
 // DecodeFrame decodes one payload frame body (any kind except Hello
 // and Welcome, which have dedicated decoders). Every length and count
 // is bounds-checked against the remaining body, so truncated or
-// hostile inputs return ErrFrame without large allocations.
+// hostile inputs return ErrFrame without large allocations. The
+// returned frame owns its tuples.
 func DecodeFrame(body []byte) (Frame, error) {
+	var d frameDecoder
+	return d.decode(body)
+}
+
+// frameDecoder is a link reader's reusable frame decoder: its tuple
+// decoder interns the stream's short strings and carves each batch's
+// values out of one arena, and the decoded batch lands in a reused
+// Tuples slice. A frame it returns is therefore valid only until the
+// next decode; the tuples' values stay valid indefinitely.
+type frameDecoder struct {
+	tuples tuple.Decoder
+	ts     []tuple.Tuple
+}
+
+func newFrameDecoder() *frameDecoder {
+	return &frameDecoder{tuples: *tuple.NewDecoder()}
+}
+
+// decode is DecodeFrame on the decoder's reused state.
+func (d *frameDecoder) decode(body []byte) (Frame, error) {
 	if len(body) == 0 {
 		return Frame{}, fmt.Errorf("%w: empty body", ErrFrame)
 	}
@@ -394,16 +415,21 @@ func DecodeFrame(body []byte) (Frame, error) {
 			return Frame{}, fmt.Errorf("%w: batch: %v", ErrFrame, err)
 		}
 		rest := body[len(body)-r.Remaining():]
-		ts := make([]tuple.Tuple, 0, n)
+		ts := d.ts[:0]
+		if cap(ts) < n {
+			ts = make([]tuple.Tuple, 0, n)
+		}
+		d.tuples.Batch(n)
 		pos := 0
 		for i := 0; i < n; i++ {
-			t, used, err := tuple.Decode(rest[pos:])
+			t, used, err := d.tuples.Decode(rest[pos:])
 			if err != nil {
 				return Frame{}, fmt.Errorf("%w: batch tuple %d: %v", ErrFrame, i, err)
 			}
 			ts = append(ts, t)
 			pos += used
 		}
+		d.ts = ts
 		if pos != len(rest) {
 			return Frame{}, fmt.Errorf("%w: batch: %d trailing bytes", ErrFrame, len(rest)-pos)
 		}

@@ -1,8 +1,10 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
+	"io"
 	"math"
 	"reflect"
 	"strings"
@@ -159,12 +161,41 @@ func TestReadFrameHardening(t *testing.T) {
 		if _, err := ReadFrame(bytes.NewReader(in), nil); err == nil {
 			t.Errorf("%s: ReadFrame accepted it", name)
 		}
+		fr := frameReader{br: bufio.NewReaderSize(bytes.NewReader(in), 16)}
+		if _, err := fr.next(); err == nil {
+			t.Errorf("%s: the link's frameReader accepted it", name)
+		}
 	}
 	// An oversized prefix must be rejected before the body allocation:
 	// reading it from a huge stream must not consume the declared size.
 	r := bytes.NewReader(frame(MaxFrame+1, make([]byte, 64)))
 	if _, err := ReadFrame(r, nil); err == nil || r.Len() != 64 {
 		t.Errorf("oversized prefix: err=%v, consumed body bytes (%d left)", err, r.Len())
+	}
+}
+
+// TestFrameReaderSizes runs frames below, at and above the read
+// buffer's size through one frameReader: small ones come back in place,
+// a larger one through the grown buffer, all intact and in order.
+func TestFrameReaderSizes(t *testing.T) {
+	const size = 64 // bufio's minimum buffer
+	var stream []byte
+	var want [][]byte
+	for i, n := range []int{5, size - 4, 3 * size, 7, 2 * size, 1} {
+		body := bytes.Repeat([]byte{byte('a' + i)}, n)
+		stream = binary.LittleEndian.AppendUint32(stream, uint32(n))
+		stream = append(stream, body...)
+		want = append(want, body)
+	}
+	fr := frameReader{br: bufio.NewReaderSize(bytes.NewReader(stream), size)}
+	for i, w := range want {
+		got, err := fr.next()
+		if err != nil || !bytes.Equal(got, w) {
+			t.Fatalf("frame %d (%d bytes): got %d bytes, %v", i, len(w), len(got), err)
+		}
+	}
+	if _, err := fr.next(); err != io.EOF {
+		t.Fatalf("after the last frame: %v, want EOF", err)
 	}
 }
 

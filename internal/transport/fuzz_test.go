@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"spear/internal/tuple"
 )
 
 // FuzzFrameCodec fuzzes the transport frame codec with arbitrary
@@ -80,7 +82,13 @@ func fuzzFrameSeeds() [][]byte {
 			seeds = append(seeds, body[:len(body)/2])
 		}
 	}
-	return seeds
+	// A string-keyed batch, the grouped-ingest shape whose repeated keys
+	// a link reader's decoder interns.
+	var keyed []tuple.Tuple
+	for i := 0; i < 6; i++ {
+		keyed = append(keyed, tuple.New(int64(100+i), tuple.String_(fmt.Sprintf("sc%d", i%4)), tuple.Float(float64(i)/4)))
+	}
+	return append(seeds, AppendBatch(nil, 11, 1, 0, keyed))
 }
 
 // TestRegenFuzzCorpus rewrites the checked-in seed corpus from

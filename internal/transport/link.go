@@ -1,7 +1,11 @@
 package transport
 
 import (
+	"bufio"
+	"encoding/binary"
 	"fmt"
+	"io"
+	"math/bits"
 	"net"
 	"sync"
 	"time"
@@ -41,10 +45,11 @@ func (d NetDialer) Dial(addr string) (net.Conn, error) {
 	return net.DialTimeout("tcp", addr, t)
 }
 
-// sentFrame is one retained unacknowledged frame.
+// sentFrame is one retained unacknowledged frame, length prefix
+// included, so every (re)transmission is a single Write.
 type sentFrame struct {
-	seq  uint64
-	body []byte
+	seq   uint64
+	frame []byte
 }
 
 // linkHandler receives the link's inbound payload frames, on the
@@ -52,7 +57,11 @@ type sentFrame struct {
 // a full engine queue stops the socket read, the peer's credits dry
 // up, and the peer's senders block.
 type linkHandler interface {
-	// Frame delivers one deduplicated, in-order sequenced frame.
+	// Frame delivers one deduplicated, in-order sequenced frame. The
+	// f.Tuples slice belongs to the reader and is reused for the next
+	// frame: it is valid only until Frame returns, so a handler that
+	// keeps tuples copies them out (the tuples' values themselves stay
+	// valid).
 	Frame(f Frame) error
 	// Fatal reports the link's terminal failure (redials exhausted,
 	// protocol violation, peer reject). Called at most once.
@@ -86,8 +95,8 @@ type link struct {
 	conn net.Conn
 	gen  int // bumps on every adopted conn; stale readers exit
 
-	closed  bool  // orderly shutdown: reader exit is not an error
-	err     error // terminal failure, latched once
+	closed  bool           // orderly shutdown: reader exit is not an error
+	err     error          // terminal failure, latched once
 	readers sync.WaitGroup // live reader goroutines; close() waits them out
 
 	// Send direction.
@@ -129,13 +138,19 @@ func newLink(name string, window, creditEvery int, h linkHandler, tobs *obs.Tran
 	return l
 }
 
-// sendSeq assigns the next sequence number, encodes the frame via
-// enc, retains it for retransmission, and writes it out. It blocks
-// while the peer's credit window is exhausted — this is the
-// transport's back-pressure. With the connection down the frame is
-// parked in the retention buffer and delivered by the reconnect
-// retransmit.
-func (l *link) sendSeq(enc func(dst []byte, seq uint64) []byte) error {
+// sendSeq sends one sequenced frame. body is the frame encoded with
+// sequence number 0 (its second byte); sendSeq stamps the next
+// sequence number into an exact-size, length-prefixed copy under the
+// lock, retains that copy for retransmission, and writes it out with
+// one Write. The caller keeps body (a reusable encode buffer): the
+// per-tuple encoding happens before the lock. sendSeq blocks while the
+// peer's credit window is exhausted — this is the transport's
+// back-pressure. With the connection down the frame is parked in the
+// retention buffer and delivered by the reconnect retransmit.
+func (l *link) sendSeq(body []byte) error {
+	if len(body) < 2 || body[1] != 0 || !sequenced(Kind(body[0])) {
+		return fmt.Errorf("%w: sendSeq needs a sequenced frame encoded with seq 0", ErrFrame)
+	}
 	l.mu.Lock()
 	for l.err == nil && !l.closed && l.nextSeq-l.acked >= uint64(l.window) {
 		if l.tobs != nil {
@@ -152,14 +167,14 @@ func (l *link) sendSeq(enc func(dst []byte, seq uint64) []byte) error {
 		return err
 	}
 	l.nextSeq++
-	body := enc(nil, l.nextSeq)
-	l.unacked = append(l.unacked, sentFrame{seq: l.nextSeq, body: body})
+	frame := stampFrame(body, l.nextSeq)
+	l.unacked = append(l.unacked, sentFrame{seq: l.nextSeq, frame: frame})
 	l.wmu.Lock() // under mu: wmu queue order = sequence order
 	conn := l.conn
 	l.mu.Unlock()
 	var werr error
 	if conn != nil {
-		werr = l.write(conn, body)
+		werr = l.write(conn, frame)
 	}
 	l.wmu.Unlock()
 	if werr != nil {
@@ -168,14 +183,36 @@ func (l *link) sendSeq(enc func(dst []byte, seq uint64) []byte) error {
 	return nil
 }
 
-// write puts one frame on conn and counts it. Callers hold wmu.
-func (l *link) write(conn net.Conn, body []byte) error {
-	if err := WriteFrame(conn, body); err != nil {
+// stampFrame returns body (encoded with sequence 0) as a
+// length-prefixed frame carrying seq, in one exact-size allocation.
+func stampFrame(body []byte, seq uint64) []byte {
+	n := len(body) - 1 + (bits.Len64(seq|1)+6)/7
+	frame := make([]byte, 4, 4+n)
+	binary.LittleEndian.PutUint32(frame, uint32(n))
+	frame = append(frame, body[0])
+	frame = binary.AppendUvarint(frame, seq)
+	return append(frame, body[2:]...)
+}
+
+// framed returns body as a length-prefixed frame for a single Write.
+func framed(body []byte) []byte {
+	frame := make([]byte, 4, 4+len(body))
+	binary.LittleEndian.PutUint32(frame, uint32(len(body)))
+	return append(frame, body...)
+}
+
+// write puts one length-prefixed frame on conn with a single Write and
+// counts it. Callers hold wmu.
+func (l *link) write(conn net.Conn, frame []byte) error {
+	if n := len(frame) - 4; n <= 0 || n > MaxFrame {
+		return fmt.Errorf("%w: body of %d bytes", ErrFrame, n)
+	}
+	if _, err := conn.Write(frame); err != nil {
 		return err
 	}
 	if l.tobs != nil {
 		l.tobs.TxFrames.Add(1)
-		l.tobs.TxBytes.Add(int64(len(body)) + 4)
+		l.tobs.TxBytes.Add(int64(len(frame)))
 	}
 	return nil
 }
@@ -202,7 +239,7 @@ func (l *link) creditLoop() {
 		l.mu.Unlock()
 		var werr error
 		if conn != nil {
-			werr = l.write(conn, AppendCredit(nil, target))
+			werr = l.write(conn, framed(AppendCredit(nil, target)))
 		}
 		l.wmu.Unlock()
 		if werr != nil {
@@ -223,13 +260,14 @@ func (l *link) kickCredit() {
 // sendUnseq writes one unsequenced frame (a reject, advisory only):
 // best-effort, silently dropped when the connection is down.
 func (l *link) sendUnseq(body []byte) {
+	frame := framed(body)
 	l.mu.Lock()
 	l.wmu.Lock()
 	conn := l.conn
 	l.mu.Unlock()
 	var werr error
 	if conn != nil {
-		werr = l.write(conn, body)
+		werr = l.write(conn, frame)
 	}
 	l.wmu.Unlock()
 	if werr != nil {
@@ -316,14 +354,14 @@ func (l *link) adopt(conn net.Conn, peerAcked uint64) int {
 	pending := make([][]byte, 0, len(l.unacked))
 	for _, f := range l.unacked {
 		if f.seq > peerAcked {
-			pending = append(pending, f.body)
+			pending = append(pending, f.frame)
 		}
 	}
 	l.wmu.Lock()
 	l.mu.Unlock()
 	var werr error
-	for _, body := range pending {
-		if werr = l.write(conn, body); werr != nil {
+	for _, frame := range pending {
+		if werr = l.write(conn, frame); werr != nil {
 			break
 		}
 	}
@@ -356,14 +394,19 @@ func (l *link) onAckLocked(acked uint64) {
 // startReader spawns the frame-dispatch loop for the adopted conn of
 // generation gen. It exits when the conn is replaced, closed, or
 // fails; sequenced frames are deduplicated and gap-checked before the
-// handler sees them.
+// handler sees them. The handshake frames were read unbuffered before
+// adoption, so the reader's buffer starts at the first payload frame
+// and one socket read can carry many frames. The reader owns one frame
+// decoder for the conn's life; see linkHandler.Frame for what that
+// means for a delivered frame's tuples.
 func (l *link) startReader(conn net.Conn, gen int) {
 	l.readers.Add(1)
 	go func() {
 		defer l.readers.Done()
-		buf := make([]byte, 0, 64<<10)
+		fr := frameReader{br: bufio.NewReaderSize(conn, readBuffer)}
+		dec := newFrameDecoder()
 		for {
-			body, err := ReadFrame(conn, buf)
+			body, err := fr.next()
 			if err != nil {
 				l.mu.Lock()
 				stale := l.gen != gen || l.closed || l.err != nil
@@ -373,12 +416,11 @@ func (l *link) startReader(conn net.Conn, gen int) {
 				}
 				return
 			}
-			buf = body[:0]
 			if l.tobs != nil {
 				l.tobs.RxFrames.Add(1)
 				l.tobs.RxBytes.Add(int64(len(body)) + 4)
 			}
-			f, err := DecodeFrame(body)
+			f, err := dec.decode(body)
 			if err != nil {
 				l.fatal(fmt.Errorf("transport: link %s: %w", l.name, err))
 				return
@@ -393,6 +435,13 @@ func (l *link) startReader(conn net.Conn, gen int) {
 				return
 			case sequenced(f.Kind):
 				l.mu.Lock()
+				if l.gen != gen {
+					// The conn was replaced or closed while this reader
+					// still held buffered frames: they belong to the new
+					// conn's retransmit now, so stop here.
+					l.mu.Unlock()
+					return
+				}
 				if f.Seq <= l.delivered {
 					// Redelivery after a reconnect; already handled.
 					l.mu.Unlock()
@@ -419,6 +468,55 @@ func (l *link) startReader(conn net.Conn, gen int) {
 			}
 		}
 	}()
+}
+
+// readBuffer sizes a link reader's socket buffer: one read syscall
+// carries up to this many bytes of frames.
+const readBuffer = 64 << 10
+
+// frameReader reads length-prefixed frames through a buffered reader.
+// A frame that fits the buffer is returned in place, without a copy,
+// and stays valid only until the next call: the decoder copies or
+// interns everything it keeps. A larger frame is read into a separate
+// buffer grown on demand.
+type frameReader struct {
+	br   *bufio.Reader
+	big  []byte
+	used int // bytes of the frame returned last, discarded on the next call
+}
+
+func (r *frameReader) next() ([]byte, error) {
+	if _, err := r.br.Discard(r.used); err != nil {
+		return nil, err
+	}
+	r.used = 0
+	hdr, err := r.br.Peek(4)
+	if err != nil {
+		return nil, err
+	}
+	n := int(binary.LittleEndian.Uint32(hdr))
+	if n == 0 || n > MaxFrame {
+		return nil, fmt.Errorf("%w: length prefix %d", ErrFrame, n)
+	}
+	if 4+n <= r.br.Size() {
+		frame, err := r.br.Peek(4 + n)
+		if err != nil {
+			return nil, err
+		}
+		r.used = 4 + n
+		return frame[4:], nil
+	}
+	if _, err := r.br.Discard(4); err != nil {
+		return nil, err
+	}
+	if cap(r.big) < n {
+		r.big = make([]byte, n)
+	}
+	r.big = r.big[:n]
+	if _, err := io.ReadFull(r.br, r.big); err != nil {
+		return nil, err
+	}
+	return r.big, nil
 }
 
 // fatal latches the link's terminal error, closes the conn, wakes
@@ -480,7 +578,7 @@ func (l *link) close() {
 	var credit []byte
 	if conn != nil && l.delivered > l.credited {
 		l.credited = l.delivered
-		credit = AppendCredit(nil, l.delivered)
+		credit = framed(AppendCredit(nil, l.delivered))
 	}
 	l.cond.Broadcast()
 	l.wmu.Lock() // under mu, then released for the write: order holds
@@ -494,7 +592,7 @@ func (l *link) close() {
 	}
 	l.kickCredit()
 	// The conn is closed and closed is latched, so any reader exits on
-	// its next ReadFrame or stale-generation check; a reader parked in
+	// its next read or stale-generation check; a reader parked in
 	// the handler returns once the engine side unwinds (the handler
 	// never calls close on its own link).
 	l.readers.Wait()

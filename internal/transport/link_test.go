@@ -129,9 +129,7 @@ func TestLinkDeliversInOrder(t *testing.T) {
 	const n = 50
 	for i := 0; i < n; i++ {
 		wm := int64(i)
-		if err := la.sendSeq(func(dst []byte, seq uint64) []byte {
-			return AppendWatermark(dst, seq, 0, 0, wm)
-		}); err != nil {
+		if err := la.sendSeq(AppendWatermark(nil, 0, 0, 0, wm)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -163,9 +161,7 @@ func TestLinkCreditBackpressure(t *testing.T) {
 	count := func() int64 { sentMu.Lock(); defer sentMu.Unlock(); return sent }
 	go func() {
 		for i := 0; i < total; i++ {
-			if err := la.sendSeq(func(dst []byte, seq uint64) []byte {
-				return AppendGoodbye(dst, seq)
-			}); err != nil {
+			if err := la.sendSeq(AppendGoodbye(nil, 0)); err != nil {
 				return
 			}
 			sentMu.Lock()
@@ -246,9 +242,7 @@ func TestLinkReconnectReplaysUnacked(t *testing.T) {
 
 	const n = 10
 	for i := 0; i < n; i++ {
-		if err := la.sendSeq(func(dst []byte, seq uint64) []byte {
-			return AppendGoodbye(dst, seq)
-		}); err != nil {
+		if err := la.sendSeq(AppendGoodbye(nil, 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -286,9 +280,7 @@ func TestLinkRedialExhaustionIsFatal(t *testing.T) {
 	// The reader notices the dead wire on its own; sends just hasten
 	// it (the first write may still land in the local socket buffer).
 	waitFor(t, "fatal", func() bool {
-		_ = la.sendSeq(func(dst []byte, seq uint64) []byte {
-			return AppendGoodbye(dst, seq)
-		})
+		_ = la.sendSeq(AppendGoodbye(nil, 0))
 		ha.mu.Lock()
 		defer ha.mu.Unlock()
 		return ha.fatal != nil
@@ -296,9 +288,7 @@ func TestLinkRedialExhaustionIsFatal(t *testing.T) {
 	if err := la.lastErr(); err == nil {
 		t.Error("terminal error not latched")
 	}
-	if err := la.sendSeq(func(dst []byte, seq uint64) []byte {
-		return AppendGoodbye(dst, seq)
-	}); err == nil {
+	if err := la.sendSeq(AppendGoodbye(nil, 0)); err == nil {
 		t.Error("sendSeq succeeded on a dead link")
 	}
 	la.close()
@@ -315,9 +305,7 @@ func TestLinkCloseFlushesCredit(t *testing.T) {
 	la, lb := linkPair(t, 64, 1<<30, &collectHandler{}, &collectHandler{}, nil)
 	const n = 5
 	for i := 0; i < n; i++ {
-		if err := la.sendSeq(func(dst []byte, seq uint64) []byte {
-			return AppendGoodbye(dst, seq)
-		}); err != nil {
+		if err := la.sendSeq(AppendGoodbye(nil, 0)); err != nil {
 			t.Fatal(err)
 		}
 	}

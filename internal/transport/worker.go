@@ -248,22 +248,18 @@ func (s *Server) ack(a SnapAck) error {
 	if lk == nil {
 		return fmt.Errorf("transport: snapshot ack before handshake")
 	}
-	return lk.sendSeq(func(dst []byte, seq uint64) []byte {
-		return AppendSnapAck(dst, seq, a)
-	})
+	return lk.sendSeq(AppendSnapAck(nil, 0, a))
 }
 
 // resultPump streams the shard's results to the source in worker-batch
 // order, then finishes the run: Goodbye on success (after all result
 // frames are acknowledged), a Reject report on failure.
 func (s *Server) resultPump(run *spe.ShardRun, lk *link) {
+	var body []byte
 	for batch := range run.Results {
 		for _, item := range batch {
-			item := item
-			err := lk.sendSeq(func(dst []byte, seq uint64) []byte {
-				return AppendResult(dst, seq, item.Worker, item.Res)
-			})
-			if err != nil {
+			body = AppendResult(body[:0], 0, item.Worker, item.Res)
+			if err := lk.sendSeq(body); err != nil {
 				break // link is down for good; drain the rest
 			}
 		}
@@ -277,9 +273,7 @@ func (s *Server) resultPump(run *spe.ShardRun, lk *link) {
 		s.finish(err)
 		return
 	}
-	if serr := lk.sendSeq(func(dst []byte, seq uint64) []byte {
-		return AppendGoodbye(dst, seq)
-	}); serr != nil {
+	if serr := lk.sendSeq(AppendGoodbye(nil, 0)); serr != nil {
 		s.finish(serr)
 		return
 	}

@@ -46,7 +46,11 @@ func AppendValue(dst []byte, v Value) []byte {
 
 // DecodeValue reads one value encoded by AppendValue from b and returns
 // it together with the number of bytes consumed.
-func DecodeValue(b []byte) (Value, int, error) {
+func DecodeValue(b []byte) (Value, int, error) { return decodeValue(b, nil) }
+
+// decodeValue is DecodeValue with an optional intern table for string
+// payloads.
+func decodeValue(b []byte, strs *internTable) (Value, int, error) {
 	if len(b) < 1 {
 		return Value{}, 0, ErrCorrupt
 	}
@@ -70,7 +74,7 @@ func DecodeValue(b []byte) (Value, int, error) {
 		if l > uint64(len(b)-pos) {
 			return Value{}, 0, ErrCorrupt
 		}
-		return Value{kind: KindString, str: string(b[pos : pos+int(l)])}, pos + int(l), nil
+		return Value{kind: KindString, str: strs.str(b[pos : pos+int(l)])}, pos + int(l), nil
 	default:
 		return Value{}, 0, fmt.Errorf("%w: kind byte %d", ErrCorrupt, kind)
 	}
@@ -90,31 +94,8 @@ func AppendEncode(dst []byte, t Tuple) []byte {
 // Decode reads one tuple from b and returns it together with the number
 // of bytes consumed.
 func Decode(b []byte) (Tuple, int, error) {
-	if len(b) < 8 {
-		return Tuple{}, 0, ErrCorrupt
-	}
-	t := Tuple{Ts: int64(binary.LittleEndian.Uint64(b))}
-	pos := 8
-	n, sz := binary.Uvarint(b[pos:])
-	if sz <= 0 {
-		return Tuple{}, 0, ErrCorrupt
-	}
-	pos += sz
-	if n > uint64(len(b)) { // cheap sanity bound before allocating
-		return Tuple{}, 0, ErrCorrupt
-	}
-	if n > 0 {
-		t.Vals = make([]Value, 0, n)
-	}
-	for i := uint64(0); i < n; i++ {
-		v, used, err := DecodeValue(b[pos:])
-		if err != nil {
-			return Tuple{}, 0, err
-		}
-		t.Vals = append(t.Vals, v)
-		pos += used
-	}
-	return t, pos, nil
+	var d Decoder
+	return d.Decode(b)
 }
 
 // EncodeBatch encodes a slice of tuples into one contiguous buffer,
@@ -134,7 +115,8 @@ func EncodeBatch(ts []Tuple) []byte {
 	return buf
 }
 
-// DecodeBatch decodes a buffer produced by EncodeBatch.
+// DecodeBatch decodes a buffer produced by EncodeBatch. The values of
+// all tuples share one arena (see Decoder).
 func DecodeBatch(b []byte) ([]Tuple, error) {
 	n, sz := binary.Uvarint(b)
 	if sz <= 0 {
@@ -144,9 +126,11 @@ func DecodeBatch(b []byte) ([]Tuple, error) {
 	if n > uint64(len(b)) {
 		return nil, ErrCorrupt
 	}
+	var d Decoder
+	d.Batch(int(n))
 	out := make([]Tuple, 0, n)
 	for i := uint64(0); i < n; i++ {
-		t, used, err := Decode(b[pos:])
+		t, used, err := d.Decode(b[pos:])
 		if err != nil {
 			return nil, err
 		}

@@ -76,6 +76,12 @@ func (m *SingleBuffer) RestoreState(b []byte) error {
 	if seq < 0 || late < 0 || spilledCnt < 0 {
 		return fmt.Errorf("%w: negative single-buffer counter", tuple.ErrCorrupt)
 	}
+	if m.store == nil && (spilledCnt > 0 || segChunks > 0) {
+		// Found by FuzzManagerRestore: a manager without a spill store
+		// never spills, and accepting such a snapshot made the next
+		// fire dereference the missing store.
+		return fmt.Errorf("%w: spilled tuples but no spill store", tuple.ErrCorrupt)
+	}
 	buf, err := tuple.DecodeBatch(bufBlob)
 	if err != nil {
 		return err

@@ -178,8 +178,8 @@ type Query struct {
 	colOn         bool
 	colValueField int
 	colKeyField   int
-	wmPeriod    time.Duration
-	wmLag       time.Duration
+	wmPeriod      time.Duration
+	wmLag         time.Duration
 
 	ckptTuples   int64
 	ckptInterval time.Duration
